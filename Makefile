@@ -4,7 +4,7 @@
 CARGO ?= cargo
 CHAOS_SEEDS ?= 16
 
-.PHONY: build test test-all test-chaos recovery-check obs-check profile-check introspect-check fuzz-smoke scale-smoke store-smoke gvm-smoke cluster-smoke bench ci
+.PHONY: build test test-all test-chaos recovery-check obs-check profile-check introspect-check fuzz-smoke scale-smoke store-smoke gvm-smoke cluster-smoke taskbench-smoke bench ci
 
 build:
 	$(CARGO) build --release
@@ -86,6 +86,15 @@ gvm-smoke:
 # The in-harness flavor (16-seed sweep) is `cargo test -p gozer-worker`.
 cluster-smoke:
 	sh scripts/cluster_smoke.sh
+
+# Task-path benchmark as a correctness gate: a 2-second run of every
+# taskbench workload. A run exits non-zero on a wrong result or a
+# missing or duplicate settle; no perf thresholds.
+taskbench-smoke:
+	for w in churn fanout_durable compute remote; do \
+		$(CARGO) run --release --offline --manifest-path taskbench/Cargo.toml -- \
+			--workload $$w --seed 1 --seconds 2 --trace 0 || exit 1; \
+	done
 
 bench:
 	$(CARGO) bench --workspace

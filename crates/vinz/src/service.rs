@@ -1697,8 +1697,7 @@ impl Inner {
             // before the parent's first suspension persisted): try again
             // shortly.
             "initial" => {
-                std::thread::sleep(Duration::from_millis(1));
-                self.cluster.send(msg.clone());
+                self.cluster.send_after(msg.clone(), Duration::from_millis(1));
                 return Ok(Vec::new());
             }
             _ => {}
@@ -1776,8 +1775,7 @@ impl Inner {
             "initial" => {
                 // The reply won the race against the caller's suspension
                 // persist; retry shortly.
-                std::thread::sleep(Duration::from_millis(1));
-                self.cluster.send(msg.clone());
+                self.cluster.send_after(msg.clone(), Duration::from_millis(1));
                 return Ok(Vec::new());
             }
             _ => {}
@@ -1867,8 +1865,7 @@ impl Inner {
         match self.get_phase(&fiber_id)?.as_str() {
             "done" => return Ok(Vec::new()),
             "initial" => {
-                std::thread::sleep(Duration::from_millis(1));
-                self.cluster.send(msg.clone());
+                self.cluster.send_after(msg.clone(), Duration::from_millis(1));
                 return Ok(Vec::new());
             }
             _ => {}
@@ -1919,21 +1916,21 @@ impl Inner {
 
     /// Move a task to a final state and, when *this* call performed the
     /// transition, feed the start→complete latency histogram plus the
-    /// per-phase family with the task's (now closed) ledger. Only
-    /// nonzero phases observe, so e.g. `durability_hold` stays an empty
-    /// histogram under synchronous stores instead of a wall of zeros.
+    /// per-phase family with the task's (now closed) ledger. Both are
+    /// recorded before the tracker wakes waiters, so a snapshot taken
+    /// after `wait` returns always counts the task. Only nonzero phases
+    /// observe, so e.g. `durability_hold` stays an empty histogram under
+    /// synchronous stores instead of a wall of zeros.
     pub(crate) fn finish_task(&self, task_id: &str, status: TaskStatus) {
-        if let Some(d) = self.tracker.finish(task_id, status) {
-            self.task_latency.observe_duration(d);
-            if let Some(rec) = self.tracker.get(task_id) {
-                for phase in Phase::ALL {
-                    let spent = rec.phases.get(phase);
-                    if !spent.is_zero() {
-                        self.phase_hists[phase.index()].observe_duration(spent);
-                    }
+        self.tracker.finish(task_id, status, |rec| {
+            self.task_latency.observe_duration(rec.duration());
+            for phase in Phase::ALL {
+                let spent = rec.phases.get(phase);
+                if !spent.is_zero() {
+                    self.phase_hists[phase.index()].observe_duration(spent);
                 }
             }
-        }
+        });
     }
 
     /// Decrement the suspended-fiber gauge without wrapping below zero

@@ -86,12 +86,6 @@ impl FileStore {
         }
     }
 
-    /// Create (the directory is created if missing).
-    #[deprecated(since = "0.1.0", note = "use FileStore::builder(dir).build()")]
-    pub fn new(dir: impl Into<PathBuf>) -> Result<FileStore, StoreError> {
-        FileStore::builder(dir).build()
-    }
-
     pub(crate) fn path(&self, key: &str) -> PathBuf {
         self.dir.join(key.replace('/', "__"))
     }
@@ -216,10 +210,9 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_constructor_still_works() {
-        let dir = std::env::temp_dir().join(format!("gozer-fs-compat-{}", fastrand_u64()));
-        #[allow(deprecated)]
-        let store = FileStore::new(&dir).unwrap();
+    fn builder_defaults_round_trip() {
+        let dir = std::env::temp_dir().join(format!("gozer-fs-defaults-{}", fastrand_u64()));
+        let store = FileStore::builder(&dir).build().unwrap();
         store.put("k", b"v").unwrap();
         assert_eq!(store.get("k").unwrap(), Some(b"v".to_vec()));
         let _ = std::fs::remove_dir_all(dir);

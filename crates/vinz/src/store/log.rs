@@ -23,17 +23,25 @@
 //! (torn-tail truncation drops the record wholesale). A batch lands in
 //! the partition chosen by its first key; replay applies records across
 //! partitions in global `seq` order, so per-key ordering never depends
-//! on which partition a batch happened to land in. Because a crash can
-//! persist a higher-seq batch while losing a lower-seq one (fsyncs land
-//! partition by partition), recovery keeps only the longest contiguous
-//! seq run past the checkpoint and scrubs the rolled-back suffix from
-//! disk — the durable state is always a prefix of history.
+//! on which partition a batch happened to land in. The partition count
+//! belongs to the directory: once `p*` subdirectories exist, reopening
+//! keeps their count (see [`LogStoreBuilder::partitions`]).
 //!
-//! The group-commit writer thread drains the enqueue buffer, appends
-//! all pending batches, issues **one fsync per touched partition** for
-//! the whole group, advances the durable watermark, fires the commit
-//! hook, and wakes `flush` waiters. Saves therefore cost a fraction of
-//! an fsync each under load, instead of FileStore's one-fsync-per-save.
+//! Because a crash can persist a higher-seq batch while losing a
+//! lower-seq one (with more than one partition, fsyncs land partition
+//! by partition), recovery keeps only the longest contiguous seq run
+//! past the checkpoint and scrubs the rolled-back suffix from disk —
+//! the durable state is always a prefix of history.
+//!
+//! The group-commit writer thread commits as soon as it wakes: it
+//! drains the enqueue buffer, appends all pending batches, issues **one
+//! fsync per touched partition** (one in all, with the default single
+//! partition), advances the durable watermark, fires the commit hook,
+//! and wakes `flush` waiters. There is no linger timer: saves that
+//! arrive while a group's fsync is in flight queue up and form the next
+//! group, so batching grows with load instead of with a clock. Saves
+//! therefore cost a fraction of an fsync each under load, instead of
+//! FileStore's one-fsync-per-save.
 //!
 //! Reads are served from the pending overlay (writes not yet committed
 //! — read-your-writes), falling back to the in-memory index of
@@ -146,7 +154,6 @@ struct StatCells {
 struct LogInner {
     dir: PathBuf,
     segment_bytes: u64,
-    window: Duration,
     nparts: u32,
     compact_dead_ratio: f64,
     compact_min_bytes: u64,
@@ -181,11 +188,9 @@ struct LogInner {
 /// persistence. Construct with [`LogStore::builder`]:
 ///
 /// ```no_run
-/// use std::time::Duration;
 /// use vinz::LogStore;
 /// let store = LogStore::builder("/var/lib/gozer/log")
 ///     .segment_bytes(8 * 1024 * 1024)
-///     .group_commit_window(Duration::from_millis(2))
 ///     .build()
 ///     .unwrap();
 /// ```
@@ -199,8 +204,7 @@ pub struct LogStore {
 pub struct LogStoreBuilder {
     dir: PathBuf,
     segment_bytes: u64,
-    window: Duration,
-    partitions: u32,
+    partitions: Option<u32>,
     compact_dead_ratio: f64,
     compact_min_bytes: u64,
 }
@@ -213,16 +217,14 @@ impl LogStoreBuilder {
         self
     }
 
-    /// How long the commit thread lingers collecting more saves before
-    /// fsyncing the group (default 2 ms). Zero commits every wakeup.
-    pub fn group_commit_window(mut self, window: Duration) -> LogStoreBuilder {
-        self.window = window;
-        self
-    }
-
-    /// Number of independent commit-log partitions (default 4).
+    /// Number of independent commit-log partitions. Each partition a
+    /// group touches costs one more fsync per commit. The count is fixed
+    /// when the directory is created. Left unset, an existing store
+    /// keeps the count it was created with and a new one gets 1. Set, it
+    /// must match an existing store's count, or the open fails before
+    /// touching a file.
     pub fn partitions(mut self, n: u32) -> LogStoreBuilder {
-        self.partitions = n.clamp(1, 64);
+        self.partitions = Some(n.clamp(1, 64));
         self
     }
 
@@ -254,24 +256,33 @@ impl LogStore {
         LogStoreBuilder {
             dir: dir.into(),
             segment_bytes: 8 * 1024 * 1024,
-            window: Duration::from_millis(2),
-            partitions: 4,
+            partitions: None,
             compact_dead_ratio: 0.5,
             compact_min_bytes: 64 * 1024,
         }
     }
 
     fn open(cfg: LogStoreBuilder) -> Result<LogStore, StoreError> {
+        let nparts = match (disk_partitions(&cfg.dir)?, cfg.partitions) {
+            (Some(disk), Some(asked)) if disk != asked => {
+                return Err(StoreError::backend(format!(
+                    "store at {} has {disk} partitions, builder asked for {asked}",
+                    cfg.dir.display()
+                )));
+            }
+            (Some(disk), _) => disk,
+            (None, asked) => asked.unwrap_or(1),
+        };
         fs::create_dir_all(&cfg.dir).map_err(StoreError::io)?;
-        for p in 0..cfg.partitions {
+        for p in 0..nparts {
             fs::create_dir_all(cfg.dir.join(format!("p{p}"))).map_err(StoreError::io)?;
         }
 
-        let recovered = recover(&cfg)?;
+        let recovered = recover(&cfg, nparts)?;
 
-        let mut parts = Vec::with_capacity(cfg.partitions as usize);
-        let mut seg_ids = Vec::with_capacity(cfg.partitions as usize);
-        for p in 0..cfg.partitions {
+        let mut parts = Vec::with_capacity(nparts as usize);
+        let mut seg_ids = Vec::with_capacity(nparts as usize);
+        for p in 0..nparts {
             // Always start appending into a fresh segment: a possibly
             // truncated tail is never written to again, so "one
             // segment, one writer incarnation" holds by construction.
@@ -286,7 +297,7 @@ impl LogStore {
         }
 
         let mut acct: Vec<PartAccounting> = Vec::new();
-        acct.resize_with(cfg.partitions as usize, PartAccounting::default);
+        acct.resize_with(nparts as usize, PartAccounting::default);
         for loc in recovered.index.values() {
             acct[loc.part as usize].live += loc.len as u64;
         }
@@ -294,8 +305,7 @@ impl LogStore {
         let inner = Arc::new(LogInner {
             dir: cfg.dir,
             segment_bytes: cfg.segment_bytes,
-            window: cfg.window,
-            nparts: cfg.partitions,
+            nparts,
             compact_dead_ratio: cfg.compact_dead_ratio,
             compact_min_bytes: cfg.compact_min_bytes,
             index: RwLock::new(recovered.index),
@@ -671,6 +681,9 @@ fn encode_record(entry: &QueueEntry) -> (Vec<u8>, Vec<Option<(u64, u32)>>) {
     (record, val_offsets)
 }
 
+/// Commit on wakeup: take whatever is queued and commit it as one group.
+/// Saves enqueued while that group's fsync is in flight wait in the
+/// queue and become the next group, so no timer is needed to batch.
 fn writer_loop(inner: Arc<LogInner>) {
     loop {
         let batch = {
@@ -683,20 +696,8 @@ fn writer_loop(inner: Arc<LogInner>) {
                 STOPPING if p.queue.is_empty() => return,
                 _ => {}
             }
-            drop(p);
-            // The group-commit window: linger so concurrent savers can
-            // join this fsync instead of paying for their own.
-            if !inner.window.is_zero() && inner.stop.load(Ordering::SeqCst) == RUNNING {
-                std::thread::sleep(inner.window);
-            }
-            std::mem::take(&mut inner.pending.lock().queue)
+            std::mem::take(&mut p.queue)
         };
-        if inner.stop.load(Ordering::SeqCst) == CRASHED {
-            return;
-        }
-        if batch.is_empty() {
-            continue;
-        }
         if let Err(err) = commit_group(&inner, &batch) {
             *inner.failed.lock() = Some(err);
             inner.commit_cv.notify_all();
@@ -1025,11 +1026,11 @@ struct Checkpoint {
     index: HashMap<String, Loc>,
 }
 
-fn recover(cfg: &LogStoreBuilder) -> Result<Recovered, StoreError> {
-    let ckpt = load_checkpoint(&cfg.dir, cfg.partitions)?;
+fn recover(cfg: &LogStoreBuilder, nparts: u32) -> Result<Recovered, StoreError> {
+    let ckpt = load_checkpoint(&cfg.dir, nparts)?;
     let (ckpt_seq, replay_from, mut index) = match ckpt {
         Some(c) => (c.seq, c.replay_from, c.index),
-        None => (0, vec![0; cfg.partitions as usize], HashMap::new()),
+        None => (0, vec![0; nparts as usize], HashMap::new()),
     };
 
     // Records with seq > ckpt_seq, gathered across every partition and
@@ -1039,9 +1040,9 @@ fn recover(cfg: &LogStoreBuilder) -> Result<Recovered, StoreError> {
     // rewrites keep their original seq and are indexed before the
     // checkpoint publishes).
     let mut recs: Vec<ReplayRec> = Vec::new();
-    let mut max_seg = vec![0u64; cfg.partitions as usize];
+    let mut max_seg = vec![0u64; nparts as usize];
 
-    for pid in 0..cfg.partitions {
+    for pid in 0..nparts {
         let dir = cfg.dir.join(format!("p{pid}"));
         let segs = list_segments(&dir)?;
         let Some(&tail) = segs.last() else { continue };
@@ -1055,14 +1056,14 @@ fn recover(cfg: &LogStoreBuilder) -> Result<Recovered, StoreError> {
     }
 
     // The commit point is the end of the longest *contiguous* seq run
-    // above the checkpoint. Group commit fsyncs partitions one at a
-    // time — and a power cut doesn't respect append order inside a
-    // partition's page cache either — so a higher-seq batch can be on
-    // disk while a lower-seq one is lost. Any surviving record past
-    // such a gap may embed state read speculatively from the missing
-    // batch (cross-fiber overlay reads are not gated), so the whole
-    // suffix rolls back: recovery yields a prefix of history, never a
-    // sieve.
+    // above the checkpoint. With more than one partition, group commit
+    // fsyncs them one at a time — and a power cut doesn't respect
+    // append order inside a partition's page cache either — so a
+    // higher-seq batch can be on disk while a lower-seq one is lost.
+    // Any surviving record past such a gap may embed state read
+    // speculatively from the missing batch (cross-fiber overlay reads
+    // are not gated), so the whole suffix rolls back: recovery yields a
+    // prefix of history, never a sieve.
     recs.sort_by_key(|r| r.seq);
     let mut commit_point = ckpt_seq;
     for r in &recs {
@@ -1083,7 +1084,7 @@ fn recover(cfg: &LogStoreBuilder) -> Result<Recovered, StoreError> {
     // append order is seq order, so the doomed records form a suffix:
     // truncate the first doomed record's segment at its frame and
     // remove any later segments.
-    let mut cut: Vec<Option<(u64, u64)>> = vec![None; cfg.partitions as usize];
+    let mut cut: Vec<Option<(u64, u64)>> = vec![None; nparts as usize];
     for r in &recs {
         if r.seq <= commit_point {
             continue;
@@ -1129,6 +1130,31 @@ fn recover(cfg: &LogStoreBuilder) -> Result<Recovered, StoreError> {
         next_seq: commit_point,
         max_seg,
     })
+}
+
+/// The partition count an existing store directory was created with:
+/// one past the highest `p<N>` subdirectory, or `None` for a new store.
+/// Recovery must scan every partition that may hold records; opening
+/// with fewer would read the missing ones' seqs as gaps and scrub the
+/// history after them.
+fn disk_partitions(dir: &Path) -> Result<Option<u32>, StoreError> {
+    let entries = match fs::read_dir(dir) {
+        Ok(e) => e,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(StoreError::io(e)),
+    };
+    let mut count = None;
+    for entry in entries {
+        let entry = entry.map_err(StoreError::io)?;
+        let name = entry.file_name().to_string_lossy().into_owned();
+        let Some(n) = name.strip_prefix('p').and_then(|s| s.parse::<u32>().ok()) else {
+            continue;
+        };
+        if entry.file_type().map_err(StoreError::io)?.is_dir() {
+            count = count.max(Some(n + 1));
+        }
+    }
+    Ok(count)
 }
 
 fn list_segments(dir: &Path) -> Result<Vec<u64>, StoreError> {
@@ -1413,16 +1439,39 @@ fn load_checkpoint(dir: &Path, nparts: u32) -> Result<Option<Checkpoint>, StoreE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("gozer-log-{tag}-{}", super::super::fastrand_u64()))
     }
 
-    fn fast(dir: &Path) -> LogStore {
-        LogStore::builder(dir)
-            .group_commit_window(Duration::from_micros(200))
-            .build()
-            .unwrap()
+    fn open(dir: &Path) -> LogStore {
+        LogStore::builder(dir).build().unwrap()
+    }
+
+    /// Partition counts the end-to-end tests run under: the default
+    /// single log, and a multi-partition store whose groups span logs.
+    const NPARTS: [u32; 2] = [1, 4];
+
+    fn open_parts(dir: &Path, nparts: u32) -> LogStore {
+        LogStore::builder(dir).partitions(nparts).build().unwrap()
+    }
+
+    /// Every file under `dir` with its length, for "nothing changed"
+    /// assertions.
+    fn tree(dir: &Path) -> Vec<(PathBuf, u64)> {
+        let mut out = Vec::new();
+        for entry in fs::read_dir(dir).unwrap() {
+            let entry = entry.unwrap();
+            let path = entry.path();
+            if path.is_dir() {
+                out.extend(tree(&path));
+            } else {
+                out.push((path, entry.metadata().unwrap().len()));
+            }
+        }
+        out.sort();
+        out
     }
 
     /// Compaction runs on the writer thread *after* the commit that
@@ -1441,17 +1490,19 @@ mod tests {
 
     #[test]
     fn log_store_exercise() {
-        let dir = tmp_dir("exercise");
-        let store = fast(&dir);
-        crate::store::tests::exercise(&store);
-        drop(store);
-        let _ = fs::remove_dir_all(dir);
+        for nparts in NPARTS {
+            let dir = tmp_dir("exercise");
+            let store = open_parts(&dir, nparts);
+            crate::store::tests::exercise(&store);
+            drop(store);
+            let _ = fs::remove_dir_all(dir);
+        }
     }
 
     #[test]
     fn put_batch_ticket_becomes_durable() {
         let dir = tmp_dir("ticket");
-        let store = fast(&dir);
+        let store = open(&dir);
         let w = store
             .put_batch(&[("fiber-d/1/0", b"delta"), ("fiber-v/1", b"meta")])
             .unwrap();
@@ -1465,15 +1516,41 @@ mod tests {
     }
 
     #[test]
+    fn one_group_commit_costs_one_fsync() {
+        let dir = tmp_dir("one-fsync");
+        let store = open(&dir);
+        let before = store.stats();
+        let keys: Vec<String> = (0..8).map(|i| format!("batch/{i}")).collect();
+        let entries: Vec<(&str, &[u8])> = keys.iter().map(|k| (k.as_str(), &b"v"[..])).collect();
+        store.put_batch(&entries).unwrap();
+        store.flush().unwrap();
+        let after = store.stats();
+        assert_eq!(after.group_commits - before.group_commits, 1, "{after:?}");
+        assert_eq!(after.fsyncs - before.fsyncs, 1, "{after:?}");
+        assert_eq!(after.committed_entries - before.committed_entries, 8);
+        drop(store);
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    /// Batching comes from load, not a timer: while one group's commit
+    /// is in flight, every save that arrives joins the next group.
+    #[test]
     fn group_commit_amortizes_fsyncs() {
         let dir = tmp_dir("amortize");
-        let store = Arc::new(
-            LogStore::builder(&dir)
-                .group_commit_window(Duration::from_millis(4))
-                .partitions(1)
-                .build()
-                .unwrap(),
-        );
+        let store = Arc::new(open(&dir));
+        // Hold the partition so the writer stalls inside its first
+        // commit, then let it take the priming save off the queue: from
+        // here on the writer is provably mid-commit.
+        let part = store.inner.parts[0].lock();
+        store.put("k/prime", b"first").unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !store.inner.pending.lock().queue.is_empty() {
+            assert!(
+                Instant::now() < deadline,
+                "writer never took the priming save"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let threads: Vec<_> = (0..4)
             .map(|t| {
                 let store = store.clone();
@@ -1487,9 +1564,12 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
+        drop(part);
         store.flush().unwrap();
         let stats = store.stats();
-        assert_eq!(stats.committed_entries, 200);
+        assert_eq!(stats.committed_entries, 201);
+        // The priming group, then everything that queued behind it.
+        assert_eq!(stats.group_commits, 2, "{stats:?}");
         assert!(
             stats.fsyncs < 100,
             "group commit should need far fewer fsyncs than saves: {stats:?}"
@@ -1500,50 +1580,106 @@ mod tests {
 
     #[test]
     fn reopen_recovers_flushed_state() {
-        let dir = tmp_dir("reopen");
+        for nparts in NPARTS {
+            let dir = tmp_dir("reopen");
+            {
+                let store = open_parts(&dir, nparts);
+                store.put("a/1", b"one").unwrap();
+                store.put("a/2", b"two").unwrap();
+                store.put("a/1", b"one-v2").unwrap();
+                store.delete("a/2").unwrap();
+                store.flush().unwrap();
+            }
+            let store = open_parts(&dir, nparts);
+            assert_eq!(store.get("a/1").unwrap(), Some(b"one-v2".to_vec()));
+            assert_eq!(store.get("a/2").unwrap(), None);
+            assert_eq!(store.list("a/").unwrap(), vec!["a/1"]);
+            drop(store);
+            let _ = fs::remove_dir_all(dir);
+        }
+    }
+
+    /// The partition count belongs to the directory, not the builder. A
+    /// store created with 4 partitions reopens under the default builder
+    /// with every key intact, before and after its first checkpoint; an
+    /// explicit mismatched count fails without touching a file.
+    #[test]
+    fn reopen_keeps_the_directorys_partition_count() {
+        let dir = tmp_dir("nparts");
+        let keys: Vec<String> = (0..64).map(|i| format!("k/{i}")).collect();
+        // Small segments and an eager compactor, but no partition count.
+        let eager = || {
+            LogStore::builder(&dir)
+                .segment_bytes(1024)
+                .compact_min_bytes(256)
+                .compact_dead_ratio(0.3)
+        };
         {
-            let store = fast(&dir);
-            store.put("a/1", b"one").unwrap();
-            store.put("a/2", b"two").unwrap();
-            store.put("a/1", b"one-v2").unwrap();
-            store.delete("a/2").unwrap();
+            let store = eager().partitions(4).build().unwrap();
+            for k in &keys {
+                store.put(k, k.as_bytes()).unwrap();
+            }
             store.flush().unwrap();
         }
-        let store = fast(&dir);
-        assert_eq!(store.get("a/1").unwrap(), Some(b"one-v2".to_vec()));
-        assert_eq!(store.get("a/2").unwrap(), None);
-        assert_eq!(store.list("a/").unwrap(), vec!["a/1"]);
+        assert!(!dir.join("checkpoint").exists());
+
+        let before = tree(&dir);
+        let err = LogStore::builder(&dir).partitions(2).build().err();
+        assert!(err.is_some(), "mismatched partition count must not open");
+        assert_eq!(tree(&dir), before, "a refused open changed files");
+
+        let store = eager().build().unwrap();
+        assert_eq!(store.inner.nparts, 4);
+        let parts: HashSet<u32> = store.inner.index.read().values().map(|l| l.part).collect();
+        assert_eq!(parts.len(), 4, "keys should span every partition");
+        for k in &keys {
+            assert_eq!(store.get(k).unwrap(), Some(k.clone().into_bytes()), "{k}");
+        }
+        // Churn until a checkpoint (which records the count) exists.
+        for round in 0..40 {
+            for k in keys.iter().take(8) {
+                store.put(k, format!("{k}@{round}").as_bytes()).unwrap();
+            }
+        }
+        store.flush().unwrap();
+        wait_for(&store, "checkpoint", |s| s.checkpoints > 0);
+        drop(store);
+
+        let store = open(&dir);
+        assert_eq!(store.inner.nparts, 4);
+        for (i, k) in keys.iter().enumerate() {
+            let want = if i < 8 { format!("{k}@39") } else { k.clone() };
+            assert_eq!(store.get(k).unwrap(), Some(want.into_bytes()), "{k}");
+        }
         drop(store);
         let _ = fs::remove_dir_all(dir);
     }
 
     #[test]
     fn crash_loses_only_unflushed_writes() {
-        let dir = tmp_dir("crash");
-        let store = fast(&dir);
-        store.put("durable/1", b"kept").unwrap();
-        store.flush().unwrap();
-        // Stop the commit thread first so these writes stay buffered,
-        // then "cut the power".
-        store.simulate_crash();
-        assert!(store.put("lost/1", b"gone").is_err());
+        for nparts in NPARTS {
+            let dir = tmp_dir("crash");
+            let store = open_parts(&dir, nparts);
+            store.put("durable/1", b"kept").unwrap();
+            store.flush().unwrap();
+            // Stop the commit thread first so these writes stay buffered,
+            // then "cut the power".
+            store.simulate_crash();
+            assert!(store.put("lost/1", b"gone").is_err());
 
-        let store = fast(&dir);
-        assert_eq!(store.get("durable/1").unwrap(), Some(b"kept".to_vec()));
-        assert_eq!(store.get("lost/1").unwrap(), None);
-        drop(store);
-        let _ = fs::remove_dir_all(dir);
+            let store = open_parts(&dir, nparts);
+            assert_eq!(store.get("durable/1").unwrap(), Some(b"kept".to_vec()));
+            assert_eq!(store.get("lost/1").unwrap(), None);
+            drop(store);
+            let _ = fs::remove_dir_all(dir);
+        }
     }
 
     #[test]
     fn torn_tail_is_truncated_not_fatal() {
         let dir = tmp_dir("torn");
         {
-            let store = LogStore::builder(&dir)
-                .group_commit_window(Duration::ZERO)
-                .partitions(1)
-                .build()
-                .unwrap();
+            let store = LogStore::builder(&dir).partitions(1).build().unwrap();
             store.put("k/1", b"first record").unwrap();
             store.flush().unwrap();
             store.put("k/2", b"second record").unwrap();
@@ -1585,7 +1721,6 @@ mod tests {
         let dir = tmp_dir("rotate");
         let store = LogStore::builder(&dir)
             .segment_bytes(512)
-            .group_commit_window(Duration::ZERO)
             .partitions(2)
             .compact_min_bytes(256)
             .compact_dead_ratio(0.3)
@@ -1631,7 +1766,6 @@ mod tests {
         let dir = tmp_dir("resurrect");
         let store = LogStore::builder(&dir)
             .segment_bytes(256)
-            .group_commit_window(Duration::ZERO)
             .partitions(2)
             .compact_min_bytes(64)
             .compact_dead_ratio(0.2)
@@ -1664,11 +1798,7 @@ mod tests {
         // would then fail every later recovery as interior corruption.
         let dir = tmp_dir("badmagic");
         {
-            let store = LogStore::builder(&dir)
-                .group_commit_window(Duration::ZERO)
-                .partitions(1)
-                .build()
-                .unwrap();
+            let store = LogStore::builder(&dir).partitions(1).build().unwrap();
             store.put("k/1", b"keep").unwrap();
             store.flush().unwrap();
         }
@@ -1693,17 +1823,19 @@ mod tests {
 
     #[test]
     fn commit_hook_reports_watermarks() {
-        let dir = tmp_dir("hook");
-        let store = fast(&dir);
-        let seen = Arc::new(AtomicU64::new(0));
-        let seen2 = seen.clone();
-        store.set_commit_hook(Arc::new(move |w: Watermark| {
-            seen2.store(w.0, Ordering::SeqCst);
-        }));
-        let w = store.put_batch(&[("h/1", b"x")]).unwrap();
-        store.flush().unwrap();
-        assert!(seen.load(Ordering::SeqCst) >= w.0);
-        drop(store);
-        let _ = fs::remove_dir_all(dir);
+        for nparts in NPARTS {
+            let dir = tmp_dir("hook");
+            let store = open_parts(&dir, nparts);
+            let seen = Arc::new(AtomicU64::new(0));
+            let seen2 = seen.clone();
+            store.set_commit_hook(Arc::new(move |w: Watermark| {
+                seen2.store(w.0, Ordering::SeqCst);
+            }));
+            let w = store.put_batch(&[("h/1", b"x")]).unwrap();
+            store.flush().unwrap();
+            assert!(seen.load(Ordering::SeqCst) >= w.0);
+            drop(store);
+            let _ = fs::remove_dir_all(dir);
+        }
     }
 }

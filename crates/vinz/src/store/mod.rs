@@ -10,8 +10,9 @@
 //!   One fsync'd rename per save: durable, simple, slow.
 //! * [`LogStore`] — per-partition append-only commit logs with group
 //!   commit (Netherite-style): one fsync is amortized over every save
-//!   that arrives inside the commit window, and saves become durable in
-//!   the background while the fiber speculatively resumes.
+//!   that arrives while the previous group is committing, and saves
+//!   become durable in the background while the fiber speculatively
+//!   resumes.
 //!
 //! # The write path: batches, watermarks, speculation
 //!

@@ -161,13 +161,13 @@ impl TaskTracker {
     }
 
     /// Move a task to a final state (first writer wins; later attempts —
-    /// e.g. a fiber noticing termination — are ignored). Returns the
-    /// task's start→complete duration when *this* call performed the
-    /// transition (the latency-histogram sample), `None` on duplicates
-    /// and unknown tasks.
-    pub fn finish(&self, task_id: &str, status: TaskStatus) -> Option<Duration> {
+    /// e.g. a fiber noticing termination — are ignored). When *this*
+    /// call performed the transition, `on_close` sees the closed record
+    /// under the tracker lock, before any [`wait`](Self::wait)er wakes,
+    /// so whatever it records is visible to a reader that has just seen
+    /// the task finish. Duplicates and unknown tasks never call it.
+    pub fn finish(&self, task_id: &str, status: TaskStatus, on_close: impl FnOnce(&TaskRecord)) {
         debug_assert!(status.is_final());
-        let mut duration = None;
         let mut st = self.state.lock();
         if let Some(rec) = st.get_mut(task_id) {
             if !rec.status.is_final() {
@@ -178,13 +178,12 @@ impl TaskTracker {
                 rec.roll_phase(None, now);
                 rec.status = status;
                 rec.finished_at = Some(now);
-                duration = Some(now.duration_since(rec.started_at));
                 self.running.fetch_sub(1, Ordering::Relaxed);
+                on_close(rec);
             }
         }
         drop(st);
         self.cond.notify_all();
-        duration
     }
 
     /// Tasks started but not yet final (the admission gate's in-flight
@@ -239,7 +238,7 @@ mod tests {
         t.fiber_created("t1");
         t.fiber_finished("t1");
         assert_eq!(t.status("t1"), Some(TaskStatus::Running));
-        t.finish("t1", TaskStatus::Completed(Value::Int(7)));
+        t.finish("t1", TaskStatus::Completed(Value::Int(7)), |_| {});
         let rec = t.get("t1").unwrap();
         assert_eq!(rec.status, TaskStatus::Completed(Value::Int(7)));
         assert_eq!(rec.fibers_created, 2);
@@ -250,8 +249,8 @@ mod tests {
     fn first_final_status_wins() {
         let t = TaskTracker::new();
         t.task_started("t1", None);
-        t.finish("t1", TaskStatus::Completed(Value::Int(1)));
-        t.finish("t1", TaskStatus::Failed(Condition::error("late")));
+        t.finish("t1", TaskStatus::Completed(Value::Int(1)), |_| {});
+        t.finish("t1", TaskStatus::Failed(Condition::error("late")), |_| {});
         assert_eq!(t.status("t1"), Some(TaskStatus::Completed(Value::Int(1))));
     }
 
@@ -262,9 +261,36 @@ mod tests {
         let t2 = t.clone();
         let h = std::thread::spawn(move || t2.wait("t1", Duration::from_secs(5)));
         std::thread::sleep(Duration::from_millis(20));
-        t.finish("t1", TaskStatus::Completed(Value::Nil));
+        t.finish("t1", TaskStatus::Completed(Value::Nil), |_| {});
         let rec = h.join().unwrap().unwrap();
         assert!(rec.status.is_final());
+    }
+
+    /// `on_close` runs once, on the transition, with the closed ledger,
+    /// and before a blocked `wait` can return.
+    #[test]
+    fn on_close_runs_before_waiters_wake() {
+        let t = Arc::new(TaskTracker::new());
+        t.task_started("t1", None);
+        let recorded = Arc::new(AtomicU64::new(0));
+        let (t2, r2) = (t.clone(), recorded.clone());
+        let h = std::thread::spawn(move || {
+            t2.wait("t1", Duration::from_secs(5)).unwrap();
+            r2.load(Ordering::SeqCst)
+        });
+        std::thread::sleep(Duration::from_millis(20));
+        t.finish("t1", TaskStatus::Completed(Value::Nil), |rec| {
+            assert_eq!(rec.current_phase, None);
+            assert!(rec.duration() > Duration::ZERO);
+            assert_eq!(rec.phases.total(), rec.duration());
+            // Give the waiter every chance to run early.
+            std::thread::sleep(Duration::from_millis(20));
+            recorded.fetch_add(1, Ordering::SeqCst);
+        });
+        assert_eq!(h.join().unwrap(), 1, "waiter woke before on_close recorded");
+        t.finish("t1", TaskStatus::Failed(Condition::error("late")), |_| {
+            panic!("on_close must not run for a duplicate finish")
+        });
     }
 
     #[test]
@@ -282,15 +308,15 @@ mod tests {
         t.task_started("a", None);
         t.task_started("b", None);
         assert_eq!(t.running_count(), 2);
-        assert!(t.finish("a", TaskStatus::Completed(Value::Nil)).is_some());
-        assert_eq!(t.running_count(), 1);
+        let closed = std::cell::Cell::new(0);
+        let count = |_: &TaskRecord| closed.set(closed.get() + 1);
+        t.finish("a", TaskStatus::Completed(Value::Nil), count);
+        assert_eq!((t.running_count(), closed.get()), (1, 1));
         // A duplicate finish yields no sample and no double decrement.
-        assert!(t
-            .finish("a", TaskStatus::Failed(Condition::error("late")))
-            .is_none());
-        assert_eq!(t.running_count(), 1);
-        assert!(t.finish("unknown", TaskStatus::Completed(Value::Nil)).is_none());
-        assert_eq!(t.running_count(), 1);
+        t.finish("a", TaskStatus::Failed(Condition::error("late")), count);
+        assert_eq!((t.running_count(), closed.get()), (1, 1));
+        t.finish("unknown", TaskStatus::Completed(Value::Nil), count);
+        assert_eq!((t.running_count(), closed.get()), (1, 1));
     }
 
     /// The headline invariant: the phase durations of a finished task
@@ -305,8 +331,9 @@ mod tests {
         std::thread::sleep(Duration::from_millis(2));
         t.note_phase("t1", Phase::ServiceWait);
         t.note_phase("t1", Phase::VmExec);
-        let d = t.finish("t1", TaskStatus::Completed(Value::Nil)).unwrap();
+        t.finish("t1", TaskStatus::Completed(Value::Nil), |_| {});
         let rec = t.get("t1").unwrap();
+        let d = rec.duration();
         assert_eq!(rec.phases.total(), d);
         assert_eq!(rec.current_phase, None);
         assert!(rec.phases.get(Phase::VmExec) >= Duration::from_millis(2));
@@ -327,9 +354,9 @@ mod tests {
         assert_eq!(rec.phase_since, rec.started_at);
         // A task that never left the queue attributes everything there.
         std::thread::sleep(Duration::from_millis(1));
-        let d = t.finish("t1", TaskStatus::Failed(Condition::error("x"))).unwrap();
+        t.finish("t1", TaskStatus::Failed(Condition::error("x")), |_| {});
         let rec = t.get("t1").unwrap();
-        assert_eq!(rec.phases.get(Phase::QueueWait), d);
+        assert_eq!(rec.phases.get(Phase::QueueWait), rec.duration());
     }
 
     #[test]
@@ -343,11 +370,11 @@ mod tests {
     fn deadline_tracking() {
         let t = TaskTracker::new();
         t.task_started("late", Some(Instant::now() - Duration::from_secs(1)));
-        t.finish("late", TaskStatus::Completed(Value::Nil));
+        t.finish("late", TaskStatus::Completed(Value::Nil), |_| {});
         assert!(t.get("late").unwrap().missed_deadline());
 
         t.task_started("ok", Some(Instant::now() + Duration::from_secs(60)));
-        t.finish("ok", TaskStatus::Completed(Value::Nil));
+        t.finish("ok", TaskStatus::Completed(Value::Nil), |_| {});
         assert!(!t.get("ok").unwrap().missed_deadline());
     }
 }

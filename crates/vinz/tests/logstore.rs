@@ -332,36 +332,49 @@ fn log_store_is_opcode_identical_to_mem_store_sixteen_seeds() {
             }
             Ok(r)
         };
-        let dir = temp_dir(&format!("equiv-{seed}"));
-        // Tiny segments + a real commit window so the sweep crosses
-        // rotation, group-commit batching, and compaction constantly.
-        let log: Arc<dyn StateStore> = Arc::new(
-            LogStore::builder(&dir)
-                .segment_bytes(16 * 1024)
-                .build()
-                .unwrap(),
-        );
-        log_dirs.push(dir);
-        let (mem, log) = match (run(None, "mem"), run(Some(log), "log")) {
-            (Ok(a), Ok(b)) => (a, b),
-            (Err(e), _) | (_, Err(e)) => {
+        let mem = match run(None, "mem") {
+            Ok(r) => r,
+            Err(e) => {
                 failures.push(e);
                 continue;
             }
         };
-        if mem.profile.opcodes != log.profile.opcodes {
-            failures.push(format!(
-                "seed {seed}: opcode counts diverge between store backends:\n    \
-                 mem: {:?}\n    log: {:?}",
-                mem.profile.opcodes, log.profile.opcodes
-            ));
-        }
-        let (calls_mem, calls_log) = (calls_by_name(&mem), calls_by_name(&log));
-        if calls_mem != calls_log {
-            failures.push(format!(
-                "seed {seed}: function call counts diverge:\n    mem: {calls_mem:?}\n    \
-                 log: {calls_log:?}"
-            ));
+        // The default single log, and four partitions so groups span
+        // logs and replay merges them in seq order.
+        for nparts in [1, 4] {
+            let dir = temp_dir(&format!("equiv-{seed}-p{nparts}"));
+            // Tiny segments so the sweep crosses rotation, group-commit
+            // batching, and compaction constantly.
+            let log: Arc<dyn StateStore> = Arc::new(
+                LogStore::builder(&dir)
+                    .segment_bytes(16 * 1024)
+                    .partitions(nparts)
+                    .build()
+                    .unwrap(),
+            );
+            log_dirs.push(dir);
+            let label = format!("log/p{nparts}");
+            let log = match run(Some(log), &label) {
+                Ok(r) => r,
+                Err(e) => {
+                    failures.push(e);
+                    continue;
+                }
+            };
+            if mem.profile.opcodes != log.profile.opcodes {
+                failures.push(format!(
+                    "seed {seed}: opcode counts diverge between mem and {label}:\n    \
+                     mem: {:?}\n    log: {:?}",
+                    mem.profile.opcodes, log.profile.opcodes
+                ));
+            }
+            let (calls_mem, calls_log) = (calls_by_name(&mem), calls_by_name(&log));
+            if calls_mem != calls_log {
+                failures.push(format!(
+                    "seed {seed}: function call counts diverge between mem and {label}:\n    \
+                     mem: {calls_mem:?}\n    log: {calls_log:?}"
+                ));
+            }
         }
     }
     for dir in log_dirs {

@@ -9,6 +9,7 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -16,7 +17,10 @@ use bluebox::Cluster;
 use gozer_lang::Value;
 use gozer_obs::Phase;
 use vinz::testing::{chaos_seeds, repro_command, ChaosConfig, ChaosPlan};
-use vinz::{LogStore, StateStore, TaskStatus, WorkflowService};
+use vinz::{
+    CommitHook, DurabilityTicket, LogStore, StateStore, StoreError, TaskStatus, Watermark,
+    WorkflowService,
+};
 
 const FOR_EACH_WF: &str = "
 (defun main (n)
@@ -183,6 +187,39 @@ fn chaos_sweep_phase_ledgers_sum_to_latency() {
     }
 }
 
+/// Record before publish: once `wait` returns for a task, the latency
+/// histogram already counts it. Tasks run one at a time, so after the
+/// k-th wait the count must be exactly k — never k - 1.
+#[test]
+fn latency_is_recorded_before_wait_returns() {
+    let cluster = Cluster::new();
+    let workflow = WorkflowService::builder(&cluster, "workflow")
+        .source(FOR_EACH_WF)
+        .instances(0, 2)
+        .instances(1, 2)
+        .deploy()
+        .unwrap();
+    let obs = workflow.obs();
+    let latency_count = || {
+        obs.snapshot()
+            .histogram("gozer_task_latency_seconds{service=\"workflow\"}")
+            .map_or(0, |h| h.count)
+    };
+    for done in 1..=40u64 {
+        let task = workflow.start("main", vec![Value::Int(3)], None).unwrap();
+        let rec = workflow
+            .wait(&task, Duration::from_secs(45))
+            .expect("task finishes");
+        assert_eq!(rec.status, TaskStatus::Completed(Value::Int(5)));
+        assert_eq!(
+            latency_count(),
+            done,
+            "task {done} was published by wait() before its latency was recorded"
+        );
+    }
+    cluster.shutdown();
+}
+
 /// Run the workflow once on `store` (or the default MemStore) and
 /// return the root task's durability_hold total.
 fn hold_time_under(store: Option<Arc<dyn StateStore>>) -> Duration {
@@ -203,6 +240,51 @@ fn hold_time_under(store: Option<Arc<dyn StateStore>>) -> Duration {
     rec.phases.get(Phase::DurabilityHold)
 }
 
+/// A LogStore whose first durability probe answers "not yet", as it
+/// would if the probe beat the commit's fsync. However fast the disk,
+/// the first fiber-bound message therefore parks; the commit hook or
+/// the reaper's re-probe releases it once the commit is on disk.
+struct ProbeBeatsFsync {
+    log: LogStore,
+    probed: AtomicBool,
+}
+
+impl StateStore for ProbeBeatsFsync {
+    fn put(&self, key: &str, data: &[u8]) -> Result<(), StoreError> {
+        self.log.put(key, data)
+    }
+    fn get(&self, key: &str) -> Result<Option<Vec<u8>>, StoreError> {
+        self.log.get(key)
+    }
+    fn delete(&self, key: &str) -> Result<(), StoreError> {
+        self.log.delete(key)
+    }
+    fn list(&self, prefix: &str) -> Result<Vec<String>, StoreError> {
+        self.log.list(prefix)
+    }
+    fn bytes_written(&self) -> u64 {
+        self.log.bytes_written()
+    }
+    fn bytes_read(&self) -> u64 {
+        self.log.bytes_read()
+    }
+    fn put_batch(&self, entries: &[(&str, &[u8])]) -> Result<DurabilityTicket, StoreError> {
+        self.log.put_batch(entries)
+    }
+    fn flush(&self) -> Result<Watermark, StoreError> {
+        self.log.flush()
+    }
+    fn durable(&self, w: Watermark) -> bool {
+        self.probed.swap(true, Ordering::SeqCst) && self.log.durable(w)
+    }
+    fn attach_obs(&self, obs: &Arc<gozer_obs::Obs>) {
+        self.log.attach_obs(obs)
+    }
+    fn set_commit_hook(&self, hook: CommitHook) {
+        self.log.set_commit_hook(hook)
+    }
+}
+
 /// `durability_hold` is real attribution, not noise: a group-commit
 /// LogStore (deferred durability tickets park fiber-bound messages)
 /// banks hold time; the synchronous MemStore banks none, ever.
@@ -214,10 +296,10 @@ fn durability_hold_nonzero_under_logstore_zero_under_memstore() {
         "MemStore is synchronous: no message ever parks on a watermark"
     );
     let dir = temp_dir("hold");
-    let store = LogStore::builder(&dir)
-        .group_commit_window(Duration::from_millis(2))
-        .build()
-        .unwrap();
+    let store = ProbeBeatsFsync {
+        log: LogStore::builder(&dir).build().unwrap(),
+        probed: AtomicBool::new(false),
+    };
     let held = hold_time_under(Some(Arc::new(store)));
     assert!(
         held > Duration::ZERO,

@@ -92,4 +92,9 @@ run make store-smoke
 # worker processes, so a failed gate cannot leak children into CI.
 run make cluster-smoke
 
+# Task-path benchmark smoke: every taskbench workload for 2 seconds.
+# Correctness only (wrong results, missing or duplicate settles); no
+# perf thresholds.
+run make taskbench-smoke
+
 echo "ci: OK (chaos sweep width $CHAOS_SEEDS)"
